@@ -19,8 +19,7 @@ Seven measurements:
   shared-read point where the coherence/cache/CPU layer (protocol
   handlers, SRAM probes, the prefetch path, trace replay) dominates and
   router ticks are a minority — the number the coherence-layer
-  optimizations (message/MSHR pooling, flat-array caches, precompiled
-  trace buffers) move;
+  optimizations (flat-array caches, precompiled trace buffers) move;
 * **sweep wall-clock** — a 4-point x 2-config sweep executed twice (as
   the figure suite does: every figure re-reads the shared baseline
   cells), comparing the seed's serial no-cache path against

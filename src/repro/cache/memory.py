@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.common.errors import ProtocolError
-from repro.common.messages import (CoherenceMsg, MsgType, make_msg,
-                                   recycle_msg)
+from repro.common.messages import CoherenceMsg, MsgType
 from repro.common.params import MemoryParams
 from repro.common.scheduler import Scheduler
 from repro.common.stats import StatGroup
@@ -40,7 +39,6 @@ class MemoryController:
         if msg.msg_type is MsgType.MEM_WB:
             self.stats.inc("writebacks")
             self._occupy_slot()
-            recycle_msg(msg)
             return
         if msg.msg_type is not MsgType.MEM_READ:
             raise ProtocolError(f"memory controller cannot handle {msg}")
@@ -48,10 +46,9 @@ class MemoryController:
         start = self._occupy_slot()
         finish = int(start) + self.params.latency
         requester = msg.requester if msg.requester is not None else msg.src
-        reply = make_msg(
+        reply = CoherenceMsg(
             MsgType.MEM_DATA, msg.line_addr, self.tile, (requester,),
             requester=requester)
-        recycle_msg(msg)
         self.scheduler.at(finish, lambda: self._send(reply))
 
     def _occupy_slot(self) -> float:

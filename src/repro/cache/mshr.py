@@ -6,9 +6,8 @@ another request.  The ``filtered`` flag is set by the network when the
 in-network filter prunes the MSHR's GETS — the arriving push then counts
 as an Early-Resp in the Fig. 12 accounting.
 
-Released registers are kept on a per-file free list and reused by the
-next :meth:`MSHRFile.allocate` with every field reinitialized, so the
-steady-state miss path allocates no objects.
+Every :meth:`MSHRFile.allocate` builds a fresh register; a released one
+is simply dropped once its caller has read it.
 """
 
 from __future__ import annotations
@@ -27,12 +26,6 @@ class MSHR:
     def __init__(self, line_addr: int, req_type: MsgType, issued_at: int,
                  is_prefetch: bool = False) -> None:
         self.waiters: List[Callable[[], None]] = []
-        self._reinit(line_addr, req_type, issued_at, is_prefetch)
-
-    def _reinit(self, line_addr: int, req_type: MsgType, issued_at: int,
-                is_prefetch: bool) -> None:
-        if self.waiters:
-            self.waiters = []
         self.line_addr = line_addr
         self.req_type = req_type
         self.issued_at = issued_at
@@ -56,13 +49,11 @@ class MSHR:
 
 
 class MSHRFile:
-    """Fixed-capacity MSHR pool for one cache."""
+    """Fixed-capacity MSHR file for one cache."""
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self._entries: Dict[int, MSHR] = {}
-        #: free list of released registers, reused by allocate()
-        self._pool: List[MSHR] = []
 
     def get(self, line_addr: int) -> Optional[MSHR]:
         return self._entries.get(line_addr)
@@ -77,23 +68,13 @@ class MSHRFile:
             raise KeyError(f"MSHR for 0x{line_addr:x} already allocated")
         if self.full:
             raise IndexError("MSHR file full")
-        pool = self._pool
-        if pool:
-            entry = pool.pop()
-            entry._reinit(line_addr, req_type, issued_at, is_prefetch)
-        else:
-            entry = MSHR(line_addr, req_type, issued_at, is_prefetch)
+        entry = MSHR(line_addr, req_type, issued_at, is_prefetch)
         self._entries[line_addr] = entry
         return entry
 
     def release(self, line_addr: int) -> MSHR:
-        """Detach the register; the caller must recycle() it when done
-        (after reading its fields / running complete())."""
+        """Detach and return the register for ``line_addr``."""
         return self._entries.pop(line_addr)
-
-    def recycle(self, entry: MSHR) -> None:
-        """Return a released register to the free list for reuse."""
-        self._pool.append(entry)
 
     def outstanding(self) -> List[MSHR]:
         return list(self._entries.values())

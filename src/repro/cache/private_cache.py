@@ -35,8 +35,7 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.common.addr import line_of
 from repro.common.errors import ProtocolError
-from repro.common.messages import (CoherenceMsg, MsgType, TrafficClass,
-                                   make_msg, recycle_msg)
+from repro.common.messages import CoherenceMsg, MsgType, TrafficClass
 from repro.common.params import SystemParams
 from repro.common.scheduler import Scheduler
 from repro.common.stats import StatGroup
@@ -257,7 +256,7 @@ class PrivateCache:
             # Upgrade: the S copy stays resident and pinned until DATA_E.
             self.l2._flags[resident_slot] |= F_BLOCKED
             mshr.had_line_in_s = True
-        self._send(make_msg(
+        self._send(CoherenceMsg(
             req_type, line_addr, self.tile, (self._home_of(line_addr),),
             requester=self.tile, need_push=self._need_push(),
             is_prefetch=is_prefetch))
@@ -276,11 +275,6 @@ class PrivateCache:
             raise ProtocolError(
                 f"private cache {self.tile} cannot handle {msg}")
         handler(msg)
-        # The private cache is a terminal sink: every handler consumes
-        # the message synchronously (responses fill, pushes install or
-        # drop, invalidations ack), so this delivery's share of the
-        # message can be recycled here.
-        recycle_msg(msg)
 
     def _on_wb_ack(self, msg: CoherenceMsg) -> None:
         pass  # writeback acknowledged; nothing left to do
@@ -304,7 +298,7 @@ class PrivateCache:
             if msg.msg_type is MsgType.DATA_E:
                 # Unreachable by construction (E grants are serialized
                 # by UNBLOCK), but never leave the directory blocked.
-                self._send(make_msg(
+                self._send(CoherenceMsg(
                     MsgType.UNBLOCK, msg.line_addr, self.tile,
                     (msg.src,), requester=self.tile))
             self.stats.inc("stale_responses_dropped")
@@ -318,7 +312,7 @@ class PrivateCache:
         line_addr = msg.line_addr
         # The directory holds the line blocked until this receipt ack,
         # so a later write's invalidation can never overtake the grant.
-        self._send(make_msg(
+        self._send(CoherenceMsg(
             MsgType.UNBLOCK, line_addr, self.tile, (msg.src,),
             requester=self.tile))
         is_write = mshr.req_type is MsgType.GETM
@@ -364,7 +358,6 @@ class PrivateCache:
         latency = self.scheduler.now - mshr.issued_at
         self._miss_latency_hist.record(latency)
         mshr.complete()
-        self.mshrs.recycle(mshr)
         if self._mshr_waiters and not self.mshrs.full:
             stalled_line, is_write, on_complete = (
                 self._mshr_waiters.popleft())
@@ -376,7 +369,7 @@ class PrivateCache:
         """Speculative pushed data (paper §III-B drop rules + Fig. 12)."""
         self._count_received_push()
         if msg.ack_required:
-            self._send(make_msg(
+            self._send(CoherenceMsg(
                 MsgType.PUSH_ACK, msg.line_addr, self.tile, (msg.src,),
                 requester=self.tile))
         line_addr = msg.line_addr
@@ -435,11 +428,11 @@ class PrivateCache:
                 # at the directory and will be granted with fresh data.
                 mshr.had_line_in_s = False
             elif flags & F_DIRTY:
-                self._send(make_msg(
+                self._send(CoherenceMsg(
                     MsgType.PUTM, line_addr, self.tile, (msg.src,),
                     requester=self.tile, payload=payload))
                 return
-        self._send(make_msg(
+        self._send(CoherenceMsg(
             MsgType.INV_ACK, line_addr, self.tile, (msg.src,),
             requester=self.tile))
 
@@ -449,7 +442,7 @@ class PrivateCache:
         slot = l2._slot_of.get(line_addr, -1)
         if slot < 0 or l2._state[slot] == PRIV_S:
             # Silently evicted (or already shared): clean acknowledgment.
-            self._send(make_msg(
+            self._send(CoherenceMsg(
                 MsgType.INV_ACK, line_addr, self.tile, (msg.src,),
                 requester=self.tile))
             return
@@ -457,11 +450,11 @@ class PrivateCache:
         l2._state[slot] = PRIV_S
         l2._flags[slot] = flags & (0xFF ^ F_DIRTY)
         if flags & F_DIRTY:
-            self._send(make_msg(
+            self._send(CoherenceMsg(
                 MsgType.PUTM, line_addr, self.tile, (msg.src,),
                 requester=self.tile, payload=l2._payload[slot]))
         else:
-            self._send(make_msg(
+            self._send(CoherenceMsg(
                 MsgType.INV_ACK, line_addr, self.tile, (msg.src,),
                 requester=self.tile))
 
@@ -500,7 +493,7 @@ class PrivateCache:
             self._c_evictions.value += 1
             if flags & F_DIRTY:
                 self._c_writebacks.value += 1
-                self._send(make_msg(
+                self._send(CoherenceMsg(
                     MsgType.PUTM, addr, self.tile,
                     (self._home_of(addr),),
                     requester=self.tile, payload=payload))

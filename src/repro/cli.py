@@ -19,9 +19,8 @@ seeds, optionally sampled) incrementally through the result store and
 prints its error-bar report; ``cache`` inspects, garbage-collects, and
 synchronizes the on-disk cache tree (``cache push --remote PATH`` /
 ``cache pull --remote PATH`` move entries and only the missing
-content-addressed objects between two roots; ``cache migrate`` adopts a
-pre-unification tree); ``list`` shows the workload catalogue and the
-named configurations.
+content-addressed objects between two roots); ``list`` shows the
+workload catalogue and the named configurations.
 
 ``run``/``compare``/``sweep`` accept ``--warmup-barriers N`` (and
 ``--warmup-mode functional``) to amortize cache warmup through the
@@ -339,15 +338,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
               f"({_format_bytes(report['removed_bytes'])}); "
               f"{_format_bytes(report['remaining_bytes'])} remain")
         return 0
-    if args.cache_command == "migrate":
-        report = Store(root).migrate()
-        print(f"cache root: {root}")
-        for section, count in report.items():
-            if section != "total":
-                print(f"  {section:14s}{count:6d} adopted")
-        print(f"adopted {report['total']} legacy entries into the "
-              "object store")
-        return 0
     # push / pull: index diff + missing-object transfer between roots
     sync = push if args.cache_command == "push" else pull
     try:
@@ -585,13 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="local cache root (default "
                                  "REPRO_CACHE_DIR or .repro_cache)")
         sync_p.set_defaults(func=_cmd_cache)
-    migrate_p = cache_sub.add_parser(
-        "migrate", help="adopt a pre-unification cache tree into the "
-                        "object/index layout in one pass")
-    migrate_p.add_argument("--dir", default=None,
-                           help="cache root (default REPRO_CACHE_DIR "
-                                "or .repro_cache)")
-    migrate_p.set_defaults(func=_cmd_cache)
 
     list_p = sub.add_parser("list", help="show workloads and configs")
     list_p.set_defaults(func=_cmd_list)

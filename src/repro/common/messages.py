@@ -18,32 +18,16 @@ vnet           class   types    purpose
 Keeping invalidations (vnet 2) and pushes (vnet 1) in separate virtual
 networks is what makes the OrdPush ordering rule deadlock-free (§III-F).
 
-Message pooling
----------------
-
-Coherence events fire hundreds of thousands of times per run, and every
-one used to allocate (and garbage) a fresh message object.  Messages now
-recycle through a free list, mirroring the NoC's pooled link events
-(:mod:`repro.noc.events`): controllers create messages with
-:func:`make_msg` and the *terminal sink* of each message — the private
-cache's deliver path, the LLC slice's consumption points, the memory
-controller, or the in-network request filter — hands it back with
-:func:`recycle_msg`.  Multicast pushes are delivered once per
-destination, so a message carries a pending-delivery count and only
-returns to the pool when the last destination has consumed it.
-
-``_reinit`` rewrites **every** field (including the derived routing
-attributes and a fresh ``uid``), so a recycled message can never leak
-state into its next incarnation; ``tests/test_pooling.py`` proves both
-that property and end-state bit-identity against the pooling-disabled
-run.  Set ``REPRO_NO_POOL=1`` to disable recycling entirely (every
-message is then freshly allocated and simply dropped at its sink).
+Every message is a freshly constructed ``CoherenceMsg``, freed by
+reference counting once its last holder drops it; a multicast PUSH is
+one object shared by all of its destinations.  Recycling messages
+through a free list measured no end-to-end gain (``docs/performance.md``,
+"Object allocation").
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from enum import IntEnum, auto
 from typing import List, Optional, Tuple
 
@@ -147,18 +131,12 @@ class CoherenceMsg:
     simulated data value used by the coherence invariant checks — the
     model tracks a single integer "value" per line so the data-value
     invariant is machine-checkable.
-
-    Messages are pool-recycled (see the module docstring): construct via
-    :func:`make_msg` on hot paths and return with :func:`recycle_msg` at
-    the terminal sink.  Direct construction stays supported (tests build
-    messages by hand) and behaves identically.
     """
 
     __slots__ = ("msg_type", "line_addr", "src", "dests", "requester",
                  "need_push", "reset_push_counters", "ack_required",
                  "is_prefetch", "payload", "uid",
-                 "vnet", "carries_data", "traffic_class", "traffic_idx",
-                 "_pending")
+                 "vnet", "carries_data", "traffic_class", "traffic_idx")
 
     def __init__(self, msg_type: MsgType, line_addr: int, src: int,
                  dests: Tuple[int, ...],
@@ -168,15 +146,6 @@ class CoherenceMsg:
                  ack_required: bool = False,
                  is_prefetch: bool = False,
                  payload: int = 0) -> None:
-        self._reinit(msg_type, line_addr, src, dests, requester, need_push,
-                     reset_push_counters, ack_required, is_prefetch, payload)
-
-    def _reinit(self, msg_type: MsgType, line_addr: int, src: int,
-                dests: Tuple[int, ...], requester: Optional[int],
-                need_push: bool, reset_push_counters: bool,
-                ack_required: bool, is_prefetch: bool,
-                payload: int) -> None:
-        """Initialize every field (reused verbatim on pool recycle)."""
         self.msg_type = msg_type
         self.line_addr = line_addr
         self.src = src
@@ -200,70 +169,9 @@ class CoherenceMsg:
         #: ``traffic_class.value`` cached as a plain int — the NoC's
         #: per-flit accounting indexes a list with it
         self.traffic_idx = self.traffic_class.value
-        #: deliveries outstanding before this object may be recycled
-        #: (one per destination; multicast replicas share the message)
-        self._pending = len(dests)
 
     def __repr__(self) -> str:
         dests = ",".join(map(str, self.dests))
         return (f"{self.msg_type.name}(line=0x{self.line_addr:x}, "
                 f"src={self.src}, dests=[{dests}], uid={self.uid})")
 
-
-#: module-level free list; per-process (sweep workers each own one)
-_msg_pool: List[CoherenceMsg] = []
-
-#: pooling enabled unless the escape hatch is set
-_pooling_enabled = os.environ.get("REPRO_NO_POOL", "") in ("", "0")
-
-
-def pooling_enabled() -> bool:
-    """Whether message recycling is active in this process."""
-    return _pooling_enabled
-
-
-def set_pooling(enabled: bool) -> None:
-    """Test hook: toggle recycling; disabling also drops the free list."""
-    global _pooling_enabled
-    _pooling_enabled = bool(enabled)
-    if not enabled:
-        _msg_pool.clear()
-
-
-def pool_size() -> int:
-    """Current free-list depth (test/debug helper)."""
-    return len(_msg_pool)
-
-
-def make_msg(msg_type: MsgType, line_addr: int, src: int,
-             dests: Tuple[int, ...],
-             requester: Optional[int] = None,
-             need_push: bool = True,
-             reset_push_counters: bool = False,
-             ack_required: bool = False,
-             is_prefetch: bool = False,
-             payload: int = 0) -> CoherenceMsg:
-    """A fully-initialized message, recycled from the pool when possible."""
-    if _msg_pool:
-        msg = _msg_pool.pop()
-        msg._reinit(msg_type, line_addr, src, dests, requester, need_push,
-                    reset_push_counters, ack_required, is_prefetch, payload)
-        return msg
-    return CoherenceMsg(msg_type, line_addr, src, dests, requester,
-                        need_push, reset_push_counters, ack_required,
-                        is_prefetch, payload)
-
-
-def recycle_msg(msg: CoherenceMsg) -> None:
-    """Mark one delivery of ``msg`` consumed; pool it after the last.
-
-    Safe against spurious extra calls (tests delivering one message
-    object twice): the message enters the free list exactly once, when
-    the count reaches zero.
-    """
-    if not _pooling_enabled:
-        return
-    pending = msg._pending - 1
-    msg._pending = pending
-    if pending == 0:
-        _msg_pool.append(msg)

@@ -32,10 +32,9 @@ bit-identical to the scalar engine:
   from scratch.
 
 ``REPRO_NO_FASTPATH=1`` (or :func:`set_fastpath`) disables the whole
-layer — the same bisection escape hatch the message pool exposes via
-``REPRO_NO_POOL`` — and systems with hardware prefetchers enabled never
-build it, because every demand access trains the prefetcher and would
-classify as residue anyway.
+layer as a bisection escape hatch, and systems with hardware prefetchers
+enabled never build it, because every demand access trains the
+prefetcher and would classify as residue anyway.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from repro.cache.coherence import PRIV_M, PRIV_S
 from repro.cache.sram import F_ACCESSED, F_DIRTY, F_PUSHED, probe_sets
 from repro.common.params import LINE_BYTES
 
-#: process-wide enable flag (mirrors the message pool's escape hatch)
+#: process-wide enable flag
 _fastpath_enabled = os.environ.get("REPRO_NO_FASTPATH", "") in ("", "0")
 
 _LINE_SHIFT = LINE_BYTES.bit_length() - 1

@@ -54,14 +54,14 @@ loads, and latencies against the event engine the same way
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.common.errors import SimulationError
-from repro.common.messages import (CoherenceMsg, MsgType, TrafficClass,
-                                   recycle_msg)
+from repro.common.messages import CoherenceMsg, MsgType, TrafficClass
 from repro.common.params import NoCParams
 from repro.common.scheduler import NEVER, Scheduler
 from repro.common.stats import StatGroup
@@ -96,7 +96,7 @@ class ArrayInterface:
 
 
 class _Eject:
-    """Pooled event: deliver one tile's same-cycle ejection burst.
+    """Event: deliver one tile's same-cycle ejection burst.
 
     One event per (cycle, tile) rather than per packet: arrivals that
     land together are delivered together — through the interface's
@@ -108,10 +108,10 @@ class _Eject:
 
     __slots__ = ("net", "tile", "key", "pixs", "packets")
 
-    def __init__(self, net: "ArrayNetwork") -> None:
+    def __init__(self, net: "ArrayNetwork", tile: int, key: int) -> None:
         self.net = net
-        self.tile = 0
-        self.key = -1
+        self.tile = tile
+        self.key = key
         self.pixs: List[int] = []
         self.packets: List[Packet] = []
 
@@ -119,7 +119,6 @@ class _Eject:
         net = self.net
         del net._eject_open[self.key]
         packets = self.packets
-        pixs = self.pixs
         count = len(packets)
         net.inflight -= count
         net._c_packets_ejected.value += count
@@ -130,15 +129,10 @@ class _Eject:
         if len(batch) >= 1024:
             net.flush_stat_batches()
         free = net._free_packet
-        for pix in pixs:
+        for pix in self.pixs:
             free(pix)
         msgs = [packet.msg for packet in packets]
         iface = net.interfaces[self.tile]
-        pixs.clear()
-        packets.clear()
-        # The event is reusable from here on; recycle before the hook
-        # so reentrant sends during delivery can pool-pop it safely.
-        net._eject_pool.append(self)
         if count > 1:
             batch_hook = iface.eject_batch_hook
             if batch_hook is not None:
@@ -148,82 +142,6 @@ class _Eject:
         if hook is not None:
             for msg in msgs:
                 hook(msg)
-
-
-class _Register:
-    """Pooled event: filter registration + stationary filtering at the
-    push's arrival cycle (the reference registers inside ``accept``)."""
-
-    __slots__ = ("net", "router", "ports", "pid", "line")
-
-    def __init__(self, net: "ArrayNetwork") -> None:
-        self.net = net
-        self.router = 0
-        self.ports: Tuple = ()
-        self.pid = 0
-        self.line = 0
-
-    def __call__(self) -> None:
-        net = self.net
-        base_k = self.router * net._radix
-        for port, dests in self.ports:
-            key = base_k + port
-            net.filters[key].register(self.pid, self.line, dests)
-            net._fcount[key] += 1
-            if net.filter_enabled:
-                net._stationary_filter(key, self.line, dests)
-        self.ports = ()
-        net._reg_pool.append(self)
-
-
-class _Lookup:
-    """Pooled event: the GETS arrival-time filter lookup.
-
-    Scheduled at transmit time only when the destination input port's
-    filter held entries (a vectorized prescreen); pushes that register
-    *after* the prescreen are covered by the extended stationary filter,
-    which also drops matching in-flight requests at registration time.
-    """
-
-    __slots__ = ("net", "slot", "pix", "packet", "fkey")
-
-    def __init__(self, net: "ArrayNetwork") -> None:
-        self.net = net
-        self.slot = 0
-        self.pix = -1
-        self.packet: Optional[Packet] = None
-        self.fkey = 0
-
-    def __call__(self) -> None:
-        net = self.net
-        packet, self.packet = self.packet, None
-        # Guard against the slot having been dropped (stationary filter)
-        # and possibly refilled since the prescreen.
-        if (net._s_pix[self.slot] == self.pix
-                and net._pkt[self.pix] is packet
-                and net.filters[self.fkey].matches(
-                    packet.line_addr, packet.msg.src)):
-            net._drop_request(self.slot)
-        net._lookup_pool.append(self)
-
-
-class _Deregister:
-    """Pooled event: lazy filter deregistration one link delay after the
-    push replica's tail flit leaves its output port."""
-
-    __slots__ = ("net", "fkey", "pid", "line")
-
-    def __init__(self, net: "ArrayNetwork") -> None:
-        self.net = net
-        self.fkey = 0
-        self.pid = 0
-        self.line = 0
-
-    def __call__(self) -> None:
-        net = self.net
-        net.filters[self.fkey].deregister(self.pid, self.line)
-        net._fcount[self.fkey] -= 1
-        net._dereg_pool.append(self)
 
 
 class ArrayNetwork:
@@ -343,14 +261,10 @@ class ArrayNetwork:
             self.filters = []
         self._fcount = np.zeros(keys, dtype=np.int64)
 
-        # ---- event pools, stats, run-loop state ----------------------
-        self._eject_pool: List[_Eject] = []
+        # ---- ejection batches, stats, run-loop state ------------------
         #: open (cycle * num_tiles + tile) -> _Eject batches still
         #: accepting arrivals; entries remove themselves on fire
         self._eject_open: Dict[int, _Eject] = {}
-        self._reg_pool: List[_Register] = []
-        self._lookup_pool: List[_Lookup] = []
-        self._dereg_pool: List[_Deregister] = []
         self.interfaces = [ArrayInterface(tile, self)
                            for tile in range(tiles)]
         self.routers: Tuple = ()
@@ -443,7 +357,6 @@ class ArrayNetwork:
         self._c_requests_filtered.value += 1
         if self.request_filtered_hook is not None:
             self.request_filtered_hook(packet.msg)
-        recycle_msg(packet.msg)
 
     def _stationary_filter(self, key: int, line: int, dests) -> None:
         """Drop same-line GETS buffered — or already in flight toward —
@@ -549,32 +462,52 @@ class ArrayNetwork:
 
     def _schedule_register(self, router: int, ports, pid: int, line: int,
                            cycle: int) -> None:
-        pool = self._reg_pool
-        event = pool.pop() if pool else _Register(self)
-        event.router = router
-        event.ports = tuple(ports)
-        event.pid = pid
-        event.line = line
-        self.scheduler.at(cycle, event)
+        self.scheduler.at(cycle, partial(self._register, router,
+                                         tuple(ports), pid, line))
+
+    def _register(self, router: int, ports, pid: int, line: int) -> None:
+        """Filter registration + stationary filtering at the push's
+        arrival cycle (the reference registers inside ``accept``)."""
+        base_k = router * self._radix
+        for port, dests in ports:
+            key = base_k + port
+            self.filters[key].register(pid, line, dests)
+            self._fcount[key] += 1
+            if self.filter_enabled:
+                self._stationary_filter(key, line, dests)
 
     def _schedule_lookup(self, slot: int, pix: int, packet: Packet,
                          fkey: int, cycle: int) -> None:
-        pool = self._lookup_pool
-        event = pool.pop() if pool else _Lookup(self)
-        event.slot = slot
-        event.pix = pix
-        event.packet = packet
-        event.fkey = fkey
-        self.scheduler.at(cycle, event)
+        self.scheduler.at(cycle, partial(self._lookup, slot, pix, packet,
+                                         fkey))
+
+    def _lookup(self, slot: int, pix: int, packet: Packet,
+                fkey: int) -> None:
+        """The GETS arrival-time filter lookup.
+
+        Scheduled at transmit time only when the destination input
+        port's filter held entries (a vectorized prescreen); pushes that
+        register *after* the prescreen are covered by the extended
+        stationary filter, which also drops matching in-flight requests
+        at registration time.
+        """
+        # Guard against the slot having been dropped (stationary filter)
+        # and possibly refilled since the prescreen.
+        if (self._s_pix[slot] == pix and self._pkt[pix] is packet
+                and self.filters[fkey].matches(packet.line_addr,
+                                               packet.msg.src)):
+            self._drop_request(slot)
 
     def _schedule_deregister(self, fkey: int, pid: int, line: int,
                              cycle: int) -> None:
-        pool = self._dereg_pool
-        event = pool.pop() if pool else _Deregister(self)
-        event.fkey = fkey
-        event.pid = pid
-        event.line = line
-        self.scheduler.at(cycle, event)
+        self.scheduler.at(cycle, partial(self._deregister, fkey, pid,
+                                         line))
+
+    def _deregister(self, fkey: int, pid: int, line: int) -> None:
+        """Lazy filter deregistration one link delay after the push
+        replica's tail flit leaves its output port."""
+        self.filters[fkey].deregister(pid, line)
+        self._fcount[fkey] -= 1
 
     def _schedule_eject(self, tile: int, pix: int, packet: Packet,
                         cycle: int) -> None:
@@ -582,10 +515,7 @@ class ArrayNetwork:
         open_ejects = self._eject_open
         event = open_ejects.get(key)
         if event is None:
-            pool = self._eject_pool
-            event = pool.pop() if pool else _Eject(self)
-            event.tile = tile
-            event.key = key
+            event = _Eject(self, tile, key)
             open_ejects[key] = event
             self.scheduler.at(cycle, event)
         event.pixs.append(pix)
@@ -790,7 +720,7 @@ class ArrayNetwork:
 
         latency = self._link_latency
         eject_mask = self._s_downbase[winners] < 0
-        # Ejection winners: one pooled delivery event each.  A granted
+        # Ejection winners: one delivery event each.  A granted
         # push deregisters from its (eject) port's filter exactly like a
         # link grant would.
         ew = winners[eject_mask]

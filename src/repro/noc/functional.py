@@ -30,6 +30,7 @@ subtracts whatever the warm phase recorded anyway.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Tuple
 
 from repro.common.messages import CoherenceMsg, TrafficClass
@@ -63,22 +64,6 @@ class _FunctionalInterface:
         self.eject_hook = None
 
 
-class _Delivery:
-    """Pooled scheduler event: hand one message to one tile's hook."""
-
-    __slots__ = ("network", "tile", "msg")
-
-    def __init__(self, network: "FunctionalNetwork") -> None:
-        self.network = network
-        self.tile = 0
-        self.msg: CoherenceMsg = None
-
-    def __call__(self) -> None:
-        msg, self.msg = self.msg, None
-        self.network.interfaces[self.tile].eject_hook(msg)
-        self.network._pool.append(self)
-
-
 class FunctionalNetwork:
     """Duck-typed ``Network`` replacement with fixed-latency delivery."""
 
@@ -98,7 +83,6 @@ class FunctionalNetwork:
         self.stats = StatGroup("network")
         self.request_filtered_hook = None
         self.inflight = 0
-        self._pool: List[_Delivery] = []
         # Link-load accounting in the same flat (router << shift) | port
         # layout as the detailed engines — functional warmup records no
         # flits, but reporting one shape across all backends keeps the
@@ -116,12 +100,12 @@ class FunctionalNetwork:
         """Deliver ``msg`` to every destination at the fixed latency."""
         scheduler = self.scheduler
         when = scheduler.now + self.FIXED_LATENCY
-        pool = self._pool
+        deliver = self._deliver
         for dest in msg.dests:
-            event = pool.pop() if pool else _Delivery(self)
-            event.tile = dest
-            event.msg = msg
-            scheduler.at(when, event)
+            scheduler.at(when, partial(deliver, dest, msg))
+
+    def _deliver(self, tile: int, msg: CoherenceMsg) -> None:
+        self.interfaces[tile].eject_hook(msg)
 
     # -- System run-loop surface ------------------------------------------
 

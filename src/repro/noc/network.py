@@ -10,9 +10,8 @@ where no progress is possible cost nothing.  Spurious wakes are always
 safe — a tick that cannot grant or inject mutates nothing — so the wake
 rules only need to be conservative, never exact.
 
-Link transfer is allocation-free on the hot path: arrivals, ejections,
-and lazy filter deregistrations are pooled callable event objects that
-are recycled through free lists instead of per-dispatch lambdas.
+Link arrivals, ejections, and lazy filter deregistrations are scheduled
+as ``functools.partial`` objects over the method each one calls.
 
 Push-multicast configuration enters here through two switches:
 
@@ -22,14 +21,15 @@ Push-multicast configuration enters here through two switches:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import SimulationError
-from repro.common.messages import CoherenceMsg, TrafficClass, recycle_msg
+from repro.common.messages import CoherenceMsg, TrafficClass
 from repro.common.params import NoCParams
 from repro.common.scheduler import NEVER, Scheduler
 from repro.common.stats import StatGroup
-from repro.noc.events import Deregister, Ejection, LinkArrival
+from repro.noc.filter import InNetworkFilter
 from repro.noc.interface import NetworkInterface
 from repro.noc.packet import Packet
 from repro.noc.router import Router
@@ -117,10 +117,6 @@ class Network:
         #: sweep — credit wakes use it to decide same-cycle vs next-cycle
         self._sweep_pos = -1
         self._link_latency = params.link_latency
-        # Free lists for the pooled link-transfer events.
-        self._arrival_pool: List[LinkArrival] = []
-        self._eject_pool: List[Ejection] = []
-        self._dereg_pool: List[Deregister] = []
         # Precomputed downstream lookups: [router_id][port] -> the
         # neighbour Router / its facing InputPort (replaces per-grant
         # topology.link chains on the hot path).
@@ -253,47 +249,32 @@ class Network:
         vc.reserve()
         return vc
 
-    def dispatch(self, router_id: int, direction: int, branch: Packet,
-                 downstream_vc: Optional[VirtualChannel], cycle: int) -> None:
-        """Move a granted replica across the link (or eject it)."""
-        self._last_progress = cycle
-        link_latency = self._link_latency
-        downstream = self._downstream_router[router_id][direction]
-        if downstream is None:  # ejection port
-            pool = self._eject_pool
-            event = pool.pop() if pool else Ejection(self)
-            event.tile = self.topology.eject_tile(router_id, direction)
-            event.packet = branch
-            self.scheduler.at(
-                cycle + 1 + link_latency + branch.flits - 1, event)
-            return
-        self.schedule_arrival(
-            downstream, branch,
-            self.routers[router_id]._downstream_in[direction],
-            downstream_vc, cycle + 1 + link_latency)
-
     def schedule_arrival(self, router: Router, packet: Packet,
                          in_dir: int,
                          vc: Optional[VirtualChannel], cycle: int) -> None:
-        """Schedule a pooled head-arrival event at ``router``."""
-        pool = self._arrival_pool
-        event = pool.pop() if pool else LinkArrival(self)
-        event.router = router
-        event.packet = packet
-        event.in_dir = in_dir
-        event.vc = vc
-        self.scheduler.at(cycle, event)
+        """Schedule the packet head's arrival at ``router``."""
+        self.scheduler.at(cycle, partial(router.accept, packet, in_dir, vc))
 
     def schedule_deregister(self, router: Router, out, pid: int,
                             line_addr: int, cycle: int) -> None:
-        """Schedule a pooled lazy filter deregistration at ``cycle``."""
-        pool = self._dereg_pool
-        event = pool.pop() if pool else Deregister(self)
-        event.router = router
-        event.filter = out.filter
-        event.pid = pid
-        event.line_addr = line_addr
-        self.scheduler.at(cycle, event)
+        """Schedule a lazy filter deregistration at ``cycle``."""
+        self.scheduler.at(cycle, partial(self._deregister, router,
+                                         out.filter, pid, line_addr))
+
+    def _deregister(self, router: Router, filt: InNetworkFilter, pid: int,
+                    line_addr: int) -> None:
+        """Drop a push's filter registration and wake its router.
+
+        An OrdPush INV stalled behind the registered line (the only
+        dormancy cause with no time-known wake besides credits) may
+        become grantable this very cycle.
+        """
+        filt.deregister(pid, line_addr)
+        now = self.scheduler.now
+        if now < router.next_tick:
+            router.next_tick = now
+        if now < self._next_work:
+            self._next_work = now
 
     def record_link_load(self, router_id: int, direction: int,
                          packet: Packet, flits: int) -> None:
@@ -311,9 +292,6 @@ class Network:
         self._c_requests_filtered.value += 1
         if self.request_filtered_hook is not None:
             self.request_filtered_hook(packet.msg)
-        # The filter is this request's terminal sink: it never reaches
-        # the LLC, so its message is consumed here.
-        recycle_msg(packet.msg)
 
     def mark_router_active(self, router: Router) -> None:
         # Called from the event phase (an accept); the new packet leaves

@@ -45,13 +45,13 @@ with the *old* count right before the membership changes.
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heappush
 from typing import List, Optional, Tuple
 
 from repro.common.messages import MsgType
 from repro.common.scheduler import _FREE, _MASK, NEVER
 from repro.common.stats import StatGroup
-from repro.noc.events import Ejection, LinkArrival
 from repro.noc.filter import InNetworkFilter
 from repro.noc.packet import Packet
 from repro.noc.routing import Direction
@@ -388,27 +388,22 @@ class Router:
                 self, out, packet.pid, packet.line_addr,
                 cycle + flits - 1 + link_latency)
 
-        # Move the replica across the link (Network.dispatch inlined).
-        # Link hops always carry a reserved downstream VC; ejections
-        # never do, so the reservation doubles as the link/eject test.
+        # Move the replica across the link, or eject it.  Link hops
+        # always carry a reserved downstream VC; ejections never do, so
+        # the reservation doubles as the link/eject test.
         net._last_progress = cycle
         scheduler = net.scheduler
         if downstream_vc is not None:
             if self._has_classes:
                 branch.vc_bucket = bucket
                 branch.ring = direction
-            pool = net._arrival_pool
-            event = pool.pop() if pool else LinkArrival(net)
-            event.router = net._downstream_router[self.id][direction]
-            event.packet = branch
-            event.in_dir = self._downstream_in[direction]
-            event.vc = downstream_vc
+            event = partial(
+                net._downstream_router[self.id][direction].accept, branch,
+                self._downstream_in[direction], downstream_vc)
             target = cycle + 1 + link_latency
         else:
-            pool = net._eject_pool
-            event = pool.pop() if pool else Ejection(net)
-            event.tile = self._eject_tiles[direction]
-            event.packet = branch
+            event = partial(net._eject, self._eject_tiles[direction],
+                            branch)
             target = cycle + link_latency + flits
         # Scheduler.at inlined, wheel fast path only: the target is a
         # link latency plus a packet length ahead of now, always inside

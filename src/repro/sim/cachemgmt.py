@@ -4,9 +4,7 @@ Thin delegation onto the unified content-addressed store
 (:mod:`repro.store`): ``repro.cli cache stats`` reports per-section
 entry counts and payload bytes, ``repro.cli cache gc --max-bytes N``
 evicts least-recently-used entries (by payload mtime, across all
-sections) until the tree fits.  Both walk the typed indexes *and* any
-not-yet-migrated pre-unification files, so the numbers on a legacy
-tree match what this module always reported.
+sections) until the tree fits.  Both walk the typed indexes.
 
 Cache entries are content-addressed and rebuilt on miss, so eviction
 is always safe — at worst a future run re-simulates or re-warms.

@@ -409,22 +409,24 @@ def restore_system(system, state: Dict) -> int:
 
 
 def rebase_measurement(state: Dict, system, workload: str,
-                       config: str) -> Dict:
-    """A copy of ``state`` whose measurement baseline is *now*.
+                       config: str, cycle: int) -> Dict:
+    """A copy of ``state`` whose measurement baseline is ``cycle``.
 
     The detach window (detailed warming, SMARTS-style): after restoring
     the anchor image the runner executes ``detach_cycles`` to let the
     post-quiesce timing transient die out — the hold drained every
     in-flight message, so the first cycles after release run faster
     than steady state.  Rebasing moves the delta bookkeeping (baseline
-    counters, push-degree sums, region start cycle) to the current
-    cycle so :func:`measured_result` excludes the run-up along with the
-    warm phase.  Only bookkeeping moves; simulation state is untouched,
-    and the system needs no quiesce — mid-flight traffic stays in
-    flight.
+    counters, push-degree sums, region start cycle) to ``cycle``, the
+    cycle :meth:`System.run` reached at the end of the window, so
+    :func:`measured_result` excludes the run-up along with the warm
+    phase.  That is not ``scheduler.now``, the cycle of the window's
+    last event: when the window ends idle, the gap belongs to neither
+    side and must not lengthen the region.  Only bookkeeping moves;
+    simulation state is untouched, and the system needs no quiesce —
+    mid-flight traffic stays in flight.
     """
     system.network.flush_stat_batches()
-    cycle = system.scheduler.now
     rebased = dict(state)
     rebased["cycle"] = cycle
     rebased["baseline"] = collect_result(
@@ -530,8 +532,6 @@ class CheckpointStore:
     treats unreadable, corrupt, or version-mismatched entries as
     misses — with a warning through the store's single fallback path —
     so a bad checkpoint can only cost a cold rebuild, never a crash.
-    Pre-unification ``ckpt/<key>.json.gz`` files are migrated in place
-    on first lookup.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
@@ -573,7 +573,7 @@ class CheckpointStore:
             return None
         # The entry-level schema guards the container; the snapshot
         # still carries its own version so a payload written by other
-        # tooling (or migrated verbatim from a legacy tree) is vetted
+        # tooling is vetted
         # before restore_system would trip over it.
         if not isinstance(state, dict) or \
                 state.get("version") != CKPT_SCHEMA_VERSION:

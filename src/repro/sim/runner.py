@@ -326,7 +326,8 @@ def run_workload(workload: str, config: str = "baseline",
                 f"{detach_cycles}-cycle detach window from anchor "
                 f"{restore_at} — shrink detach_cycles or use an "
                 f"earlier anchor")
-        state = rebase_measurement(state, system, workload, config)
+        state = rebase_measurement(state, system, workload, config,
+                                   reached)
     stop_at = region_start + measure_cycles if measure_cycles else None
     finish = system.run(max_cycles=max_cycles, stop_at=stop_at)
     result = measured_result(system, workload, config, finish, state,

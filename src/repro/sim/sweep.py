@@ -244,12 +244,11 @@ class ResultCache:
     """:class:`SimResult` records as a typed view over the unified store.
 
     A thin wrapper around the store's ``results`` index: keys map to
-    content-addressed objects holding the sorted-JSON record, writes
-    are atomic, and pre-unification root-level ``<key>.json`` files
-    are migrated in place on first lookup.  ``REPRO_NO_CACHE`` is
-    honored per call (see :func:`repro.store.cache_disabled`): a
-    disabled cache reads as all-miss and swallows writes, exactly like
-    the trace and checkpoint stores.
+    content-addressed objects holding the sorted-JSON record, and
+    writes are atomic.  ``REPRO_NO_CACHE`` is honored per call (see
+    :func:`repro.store.cache_disabled`): a disabled cache reads as
+    all-miss and swallows writes, exactly like the trace and checkpoint
+    stores.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:

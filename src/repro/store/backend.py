@@ -95,11 +95,7 @@ class Backend(ABC):
         """``(size_bytes, mtime)`` of the blob at ``rel``."""
 
     def local_root(self) -> Optional[Path]:
-        """The local directory backing this store, if there is one.
-
-        Legacy-layout migration only applies to backends that answer —
-        a true remote has no pre-refactor tree to migrate.
-        """
+        """The local directory backing this store, if there is one."""
         return None
 
     def utime(self, rel: str, times: Tuple[float, float]) -> None:

@@ -3,15 +3,12 @@
 An object is the stored byte string itself — its name is the SHA-256 of
 exactly the bytes on disk, laid out dvc-style as
 ``objects/<digest[:2]>/<digest[2:]>``.  Hash-over-stored-bytes keeps
-three properties cheap:
+two properties cheap:
 
 * **verification** — every read re-hashes and rejects silent
   corruption (a flipped bit becomes a cache miss, never bad data);
 * **dedup** — identical content is written once, however many index
-  keys point at it;
-* **migration** — a legacy cache file moves into the object tree by
-  hashing it as-is, byte for byte, preserving sizes and (explicitly)
-  timestamps.
+  keys point at it.
 
 Compression is a *codec* recorded by the index entry, not baked into
 the object name: ``raw`` stores payload bytes verbatim, ``gzip``

@@ -9,10 +9,8 @@ files land, so a concurrent reader of the destination never sees an
 entry whose object has not arrived yet.
 
 ``push`` moves local state to a remote, ``pull`` is the same diff run
-the other way.  Both migrate legacy-layout trees first (when the side
-has a local root), so a pre-unification cache participates fully.
-Object timestamps carry over best-effort, keeping LRU eviction honest
-on the receiving side.
+the other way.  Object timestamps carry over best-effort, keeping LRU
+eviction honest on the receiving side.
 
 The multi-host recipes this enables: a sweep fanned out across N
 machines that each ``push`` into one shared store, and a laptop that
@@ -37,8 +35,6 @@ def _as_store(target: Union[Store, str, Path, None]) -> Store:
 
 def _sync(src: Store, dst: Store) -> Dict[str, Dict[str, int]]:
     """Copy index entries and missing objects from ``src`` to ``dst``."""
-    src.migrate()
-    dst.migrate()
     report: Dict[str, Dict[str, int]] = {}
     for namespace in NAMESPACES:
         src_entries = src.entries(namespace)

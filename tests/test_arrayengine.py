@@ -24,7 +24,7 @@ import random
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.common.messages import MsgType, make_msg, recycle_msg
+from repro.common.messages import CoherenceMsg, MsgType
 from repro.common.params import NoCParams
 from repro.common.scheduler import Scheduler
 from repro.noc.arrayengine import ArrayNetwork
@@ -44,7 +44,7 @@ def _build(engine: str, params: NoCParams):
     cls = Network if engine == "event" else ArrayNetwork
     net = cls(params, scheduler)
     for iface in net.interfaces:
-        iface.eject_hook = recycle_msg
+        iface.eject_hook = lambda msg: None
     return net, scheduler
 
 
@@ -70,8 +70,8 @@ def _drive(net, scheduler, tiles: int, rate: float, horizon: int,
                         dst += 1
                     dests = (dst,)
                     mtype = unicast_types[rng.randrange(3)]
-                net.send(make_msg(mtype, rng.randrange(1 << 16) << 6,
-                                  src, dests, need_push=False))
+                net.send(CoherenceMsg(mtype, rng.randrange(1 << 16) << 6,
+                                      src, dests, need_push=False))
         elif not net.active:
             break
         scheduler.run_due(cycle)

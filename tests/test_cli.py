@@ -158,27 +158,18 @@ class TestCacheCommand:
         assert set(Store(other).index("ckpt").keys()) == \
             set(local.index("ckpt").keys())
 
-    def test_migrate_adopts_legacy_tree(self, capsys, tmp_path) -> None:
-        import json as jsonmod
-        legacy = tmp_path / "legacy"
-        legacy.mkdir()
-        (legacy / ("a" * 64 + ".json")).write_text(
-            jsonmod.dumps({"cycles": 1}))
-        assert main(["cache", "migrate", "--dir", str(legacy)]) == 0
-        assert "adopted 1 legacy entries" in capsys.readouterr().out
-        assert not list(legacy.glob("*.json"))
-
     def test_gc_keeps_newest_entries(self, tmp_path) -> None:
         import os
         from repro.sim.cachemgmt import cache_gc
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        old.write_text("x" * 100)
-        new.write_text("y" * 100)
-        os.utime(old, (1, 1))
+        from repro.store import Store
+        results = Store(tmp_path).index("results")
+        results.put_bytes("old", b"x" * 100)
+        results.put_bytes("new", b"y" * 100)
+        digest = results.read_entry("old")["digest"]
+        os.utime(Store(tmp_path).object_path(digest), (1, 1))
         report = cache_gc(150, tmp_path)
         assert report["removed"] == 1
-        assert not old.exists() and new.exists()
+        assert set(results.keys()) == {"new"}
 
 
 class TestTopologyFlags:

@@ -304,6 +304,19 @@ class TestDetachWindow:
         assert (detached.instructions
                 == long.instructions - prefix.instructions)
 
+    def test_idle_window_end_does_not_lengthen_region(
+            self, tmp_path, monkeypatch) -> None:
+        """The region starts where the detach window ends, not at the
+        window's last event.  This point's window ends in an idle gap
+        of 149 cycles, which must not count toward the region."""
+        from repro.sim.config import bench_kwargs
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        result = run_workload("pathfinder", "baseline", num_cores=4,
+                              seed=1, warmup_barriers=2,
+                              warmup_mode="functional", measure_cycles=400,
+                              detach_cycles=150, **bench_kwargs())
+        assert result.cycles == 400
+
     def test_finishing_inside_the_window_is_an_error(
             self, tmp_path, monkeypatch) -> None:
         from repro.common.errors import SimulationError

@@ -160,8 +160,9 @@ class TestResultCache:
 class TestTraceSharing:
     def test_schema_version_bumped_for_warmup_keys(self) -> None:
         """v5 added the NoC engine selector, v6 the measurement-window
-        fields (sampled regions), v7 the detach window."""
-        assert CACHE_SCHEMA_VERSION == 7
+        fields (sampled regions), v7 the detach window, v8 the detached
+        region's start at the window end."""
+        assert CACHE_SCHEMA_VERSION == 8
 
     def test_sweep_builds_each_trace_once(self, tmp_path,
                                           monkeypatch) -> None:
